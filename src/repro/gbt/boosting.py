@@ -139,7 +139,11 @@ class GradientBoostingRegressor:
                 binned, grad, hess, rows=rows, feature_mask=feature_mask
             )
             state.trees.append(tree)
-            pred += p.learning_rate * tree.predict_binned(binned.codes)
+            if rows is None:
+                pred += p.learning_rate * tree.leaf_value[tree.train_leaf]
+            else:
+                pred += p.learning_rate * tree.predict_binned(binned.codes)
+            tree.train_leaf = None  # per-row fit scratch; not part of the model
 
             if val_codes is not None:
                 val_pred += p.learning_rate * tree.predict_binned(val_codes)

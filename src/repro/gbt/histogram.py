@@ -2,8 +2,9 @@
 
 Split finding on binned features is the core trick of modern GBT systems
 (XGBoost ``hist``, LightGBM): each feature column is quantized once into at
-most ``max_bins`` ordered bins, after which every node's split search is a
-pair of ``bincount`` passes instead of a sort.  Our feature columns have at
+most ``max_bins`` ordered bins, after which split search reads per-bin
+gradient/hessian sums (see :mod:`repro.gbt.tree`, which builds them for a
+whole tree level at a time) instead of sorting.  Our feature columns have at
 most 11 distinct values, so binning is lossless here, but the implementation
 supports arbitrary continuous features via quantile binning.
 """

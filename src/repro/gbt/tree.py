@@ -8,10 +8,16 @@ gain
     \\tfrac12\\Big(\\frac{G_L^2}{H_L+\\lambda} + \\frac{G_R^2}{H_R+\\lambda}
       - \\frac{G^2}{H+\\lambda}\\Big) - \\gamma
 
-over all (feature, bin) pairs, computed from per-node gradient/hessian
-histograms (two ``bincount`` passes per feature).  Leaf weights are the
-regularized Newton step ``-G / (H + lambda)``.  The tree is stored in flat
-arrays and prediction walks all rows level-by-level, fully vectorized.
+over all (feature, bin) pairs, computed from gradient/hessian/count
+histograms.  Growth is level-wise, as in XGBoost's and LightGBM's ``hist``
+methods: one row-order array is stably partitioned so each node's rows are
+a contiguous slice, and one ``bincount`` per statistic builds the
+histograms of every open node and feature of a level at once.  The split
+chosen and the floating-point sums are those of a per-node, per-feature
+scan, and nodes are renumbered into that scan's depth-first order, so the
+trees are bit-identical to it.  Leaf weights are the regularized Newton
+step ``-G / (H + lambda)``.  The tree is stored in flat arrays and
+prediction walks all rows level-by-level, fully vectorized.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ class RegressionTree:
         self.left: np.ndarray | None = None
         self.right: np.ndarray | None = None
         self.leaf_value: np.ndarray | None = None
+        #: Leaf reached by each training row in the last fit (-1 for rows
+        #: outside ``rows``); lets boosting skip re-walking the tree.
+        self.train_leaf: np.ndarray | None = None
         self.n_nodes = 0
 
     # ------------------------------------------------------------------ #
@@ -87,122 +96,224 @@ class RegressionTree:
         feature_mask:
             Boolean mask of features eligible for splitting
             (column-subsampling hook).
+
+        Sets :attr:`train_leaf`.  Raises ``ValueError`` when ``rows``
+        holds an index outside ``[0, n_rows)`` or ``feature_mask`` is not
+        one flag per feature.
         """
         grad = np.asarray(grad, dtype=float)
         hess = np.asarray(hess, dtype=float)
         if grad.shape != hess.shape or grad.ndim != 1:
             raise ValueError("grad and hess must be equal-length 1-D arrays")
-        if grad.shape[0] != binned.n_rows:
+        n_rows, n_features = binned.n_rows, binned.n_features
+        if grad.shape[0] != n_rows:
             raise ValueError("grad length must match binned matrix rows")
         if rows is None:
-            rows = np.arange(binned.n_rows, dtype=np.int64)
+            rows = np.arange(n_rows, dtype=np.int64)
         else:
             rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1:
+                raise ValueError("rows must be a 1-D array of row indices")
+            if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+                raise ValueError(f"rows must lie in [0, {n_rows})")
         if feature_mask is None:
-            feature_mask = np.ones(binned.n_features, dtype=bool)
-
-        feature: list[int] = []
-        bin_thr: list[int] = []
-        val_thr: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        leaf: list[float] = []
+            feature_mask = np.ones(n_features, dtype=bool)
+        else:
+            feature_mask = np.asarray(feature_mask, dtype=bool)
+            if feature_mask.shape != (n_features,):
+                raise ValueError(
+                    f"feature_mask must have shape ({n_features},), "
+                    f"got {feature_mask.shape}"
+                )
 
         p = self.params
         lam = p.reg_lambda
+        # Candidate features, and the bin count every histogram pads to.
+        feats = np.flatnonzero(feature_mask & (binned.n_bins >= 2))
+        n_f = feats.size
+        width = int(binned.n_bins[feats].max()) if n_f else 1
+        # Feature-major codes offset to ``feature * width + code``, and
+        # key/weight buffers sized for the root level, reused by every
+        # level (fresh ~n_f * n temporaries per level cost page faults).
+        offset_codes = np.ascontiguousarray(
+            binned.codes[:, feats].T + (np.arange(n_f) * width)[:, None],
+            dtype=np.intp,
+        )
+        key_buf = np.empty(n_f * rows.size, dtype=np.intp)
+        weight_buf = np.empty(n_f * rows.size)
 
-        def new_node() -> int:
-            feature.append(-1)
-            bin_thr.append(-1)
-            val_thr.append(np.nan)
-            left.append(-1)
-            right.append(-1)
-            leaf.append(0.0)
-            return len(feature) - 1
+        # Nodes are numbered level by level while growing; children == -1
+        # marks a leaf.
+        feature: list[int] = [-1]
+        bin_thr: list[int] = [-1]
+        left: list[int] = [-1]
+        leaf: list[float] = [0.0]
+        train_leaf = np.full(n_rows, -1, dtype=np.int32)
+        # The rows of the level's nodes, each node's rows one contiguous
+        # slice in the order a per-node recursion would hold them.
+        order = rows
+        ids = np.zeros(1, dtype=np.int64)
+        sizes = np.array([rows.size], dtype=np.int64)
+        depth = 1
+        while ids.size:
+            g, h = grad[order], hess[order]
+            g_sum = np.empty(ids.size)
+            h_sum = np.empty(ids.size)
+            grow = np.zeros(ids.size, dtype=bool)
+            s = 0
+            for i, node in enumerate(ids):
+                e = s + sizes[i]
+                # Slice sums keep numpy's pairwise summation order.
+                gs, hs = float(g[s:e].sum()), float(h[s:e].sum())
+                g_sum[i], h_sum[i] = gs, hs
+                leaf[node] = -gs / (hs + lam)
+                grow[i] = not (
+                    depth > p.max_depth
+                    or e - s < 2 * p.min_samples_leaf
+                    or hs < 2 * p.min_child_weight
+                    or n_f == 0
+                )
+                s = e
 
-        # Iterative growth with an explicit stack: (node_id, rows, depth).
-        root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, rows, 1)]
-        while stack:
-            node, node_rows, depth = stack.pop()
-            g = grad[node_rows]
-            h = hess[node_rows]
-            g_sum = float(g.sum())
-            h_sum = float(h.sum())
-            leaf[node] = -g_sum / (h_sum + lam)
-
-            if (
-                depth > p.max_depth
-                or node_rows.size < 2 * p.min_samples_leaf
-                or h_sum < 2 * p.min_child_weight
-            ):
-                continue
-
-            parent_score = g_sum * g_sum / (h_sum + lam)
-            best_gain = 0.0
-            best_feat = -1
-            best_bin = -1
-            codes = binned.codes[node_rows]
-            for j in range(binned.n_features):
-                if not feature_mask[j]:
-                    continue
-                nb = int(binned.n_bins[j])
-                if nb < 2:
-                    continue
-                cj = codes[:, j]
-                g_hist = np.bincount(cj, weights=g, minlength=nb)
-                h_hist = np.bincount(cj, weights=h, minlength=nb)
-                c_hist = np.bincount(cj, minlength=nb)
-                gl = np.cumsum(g_hist)[:-1]
-                hl = np.cumsum(h_hist)[:-1]
-                cl = np.cumsum(c_hist)[:-1]
-                gr = g_sum - gl
-                hr = h_sum - hl
-                cr = node_rows.size - cl
+            if grow.any():
+                k = np.flatnonzero(grow)
+                in_k = np.repeat(grow, sizes)
+                k_rows = order[in_k]
+                m = k_rows.size
+                node_of = np.repeat(np.arange(k.size), sizes[k])
+                # Every (node, feature, bin) histogram of the level at once,
+                # keyed ``(node * n_f + feature) * width + code``; each key's
+                # rows are summed in node-row order, as per-node passes do.
+                keys = key_buf[: n_f * m]
+                np.take(offset_codes, k_rows, axis=1, out=keys.reshape(n_f, m))
+                keys.reshape(n_f, m)[:] += node_of * (n_f * width)
+                weights = weight_buf[: n_f * m]
+                n_keys = k.size * n_f * width
+                shape = (k.size, n_f, width)
+                weights.reshape(n_f, m)[:] = g[in_k]
+                g_hist = np.bincount(keys, weights=weights, minlength=n_keys)
+                weights.reshape(n_f, m)[:] = h[in_k]
+                h_hist = np.bincount(keys, weights=weights, minlength=n_keys)
+                c_hist = np.bincount(keys, minlength=n_keys)
+                gl = np.cumsum(g_hist.reshape(shape), axis=2)[:, :, :-1]
+                hl = np.cumsum(h_hist.reshape(shape), axis=2)[:, :, :-1]
+                cl = np.cumsum(c_hist.reshape(shape), axis=2)[:, :, :-1]
+                gs = g_sum[k][:, None, None]
+                hs = h_sum[k][:, None, None]
+                gr = gs - gl
+                hr = hs - hl
+                cr = sizes[k][:, None, None] - cl
+                # Padding bins past a feature's last bin hold no rows, so
+                # their right side is empty and min_samples_leaf rejects it.
                 valid = (
                     (cl >= p.min_samples_leaf)
                     & (cr >= p.min_samples_leaf)
                     & (hl >= p.min_child_weight)
                     & (hr >= p.min_child_weight)
                 )
-                if not valid.any():
-                    continue
-                gain = np.where(
-                    valid,
-                    0.5
-                    * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score)
-                    - p.gamma,
-                    -np.inf,
+                parent_score = gs * gs / (hs + lam)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gain = np.where(
+                        valid,
+                        0.5
+                        * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score)
+                        - p.gamma,
+                        -np.inf,
+                    )
+                # Skip a feature whose gains hold a NaN, as a per-feature
+                # scan does: its argmax stops at the NaN, which is not > 0.
+                gain[np.isnan(gain).any(axis=2)] = -np.inf
+                # First-occurrence argmax over (feature, bin): the lowest
+                # feature wins a tie, then its lowest bin.
+                gain = gain.reshape(k.size, -1)
+                best = gain.argmax(axis=1)
+                wins = gain[np.arange(k.size), best] > 0.0
+                grow[k[~wins]] = False
+                best_f = best // (width - 1)
+                best_b = best % (width - 1)
+
+                # Stable partition of the splitting nodes' rows: left rows
+                # then right rows of each node, in their current order.
+                keep = wins[node_of]
+                at = node_of[keep]
+                kept = k_rows[keep]
+                split_key = (best_f * width + best_b)[at]
+                go_right = offset_codes.ravel()[best_f[at] * n_rows + kept] > split_key
+                next_order = kept[np.lexsort((go_right, at))]
+                rank = np.cumsum(wins) - 1
+                next_sizes = np.bincount(
+                    2 * rank[at] + go_right, minlength=2 * int(wins.sum())
                 )
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain = float(gain[b])
-                    best_feat = j
-                    best_bin = b
+                first = len(leaf)
+                for j, (node, f, b) in enumerate(
+                    zip(ids[k[wins]], feats[best_f[wins]], best_b[wins])
+                ):
+                    feature[node], bin_thr[node] = int(f), int(b)
+                    left[node] = first + 2 * j
+                next_ids = np.arange(first, first + next_sizes.size)
+                feature += [-1] * next_sizes.size
+                bin_thr += [-1] * next_sizes.size
+                left += [-1] * next_sizes.size
+                leaf += [0.0] * next_sizes.size
+            else:
+                next_order = order[:0]
+                next_ids = ids[:0]
+                next_sizes = sizes[:0]
 
-            if best_feat < 0:
-                continue
+            done = ~grow
+            train_leaf[order[np.repeat(done, sizes)]] = np.repeat(
+                ids[done], sizes[done]
+            )
+            order, ids, sizes = next_order, next_ids, next_sizes
+            depth += 1
 
-            go_left = codes[:, best_feat] <= best_bin
-            rows_l = node_rows[go_left]
-            rows_r = node_rows[~go_left]
-            feature[node] = best_feat
-            bin_thr[node] = best_bin
-            thr = binned.thresholds[best_feat]
-            val_thr[node] = float(thr[best_bin]) if best_bin < thr.size else np.inf
-            lid, rid = new_node(), new_node()
-            left[node], right[node] = lid, rid
-            stack.append((lid, rows_l, depth + 1))
-            stack.append((rid, rows_r, depth + 1))
-
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.bin_threshold = np.asarray(bin_thr, dtype=np.int32)
-        self.value_threshold = np.asarray(val_thr, dtype=float)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.leaf_value = np.asarray(leaf, dtype=float)
-        self.n_nodes = len(feature)
+        self._store(binned, feature, bin_thr, left, leaf, train_leaf)
         return self
+
+    def _store(self, binned, feature, bin_thr, left, leaf, train_leaf) -> None:
+        """Renumber level-order nodes into depth-first order and store them.
+
+        Nodes get the ids a depth-first stack that pushes the left child,
+        then the right one, would hand out: a split node's children take
+        the next two ids when it is popped, so the right child's
+        descendants are numbered before the left child's.  ``left`` holds
+        level-order ids; a right child always directly follows its left
+        sibling.
+        """
+        n = len(leaf)
+        new = np.zeros(n, dtype=np.int32)
+        next_id = 1
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            child = left[node]
+            if child >= 0:
+                new[child], new[child + 1] = next_id, next_id + 1
+                next_id += 2
+                stack += [child, child + 1]
+
+        def place(values, dtype):
+            out = np.empty(n, dtype=dtype)
+            out[new] = values
+            return out
+
+        lft = np.asarray(left)
+        is_split = lft >= 0
+        kids = np.where(is_split, new[lft], -1)
+        self.feature = place(feature, np.int32)
+        self.bin_threshold = place(bin_thr, np.int32)
+        self.left = place(kids, np.int32)
+        self.right = place(np.where(is_split, kids + 1, -1), np.int32)
+        self.leaf_value = place(leaf, float)
+        self.value_threshold = place(
+            [
+                float(binned.thresholds[f][b]) if f >= 0 else np.nan
+                for f, b in zip(feature, bin_thr)
+            ],
+            float,
+        )
+        self.n_nodes = n
+        self.train_leaf = np.where(train_leaf >= 0, new[train_leaf], -1)
 
     # ------------------------------------------------------------------ #
     def _check_fitted(self) -> None:
