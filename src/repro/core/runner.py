@@ -9,8 +9,9 @@ and results (chunky tasks, small payloads, per the HPC guides).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -106,22 +107,27 @@ def _probes_for(
 
 
 def _probe_inputs(spec: ExperimentSpec, dataset: PerformanceDataset):
-    """Materialize per-probe inputs: (examples, query_row, gen_seed)."""
-    inputs = []
-    for probe_id, (icl_rows, query_row) in enumerate(
-        _probes_for(spec, dataset)
-    ):
-        examples = [
-            (dataset.config(int(r)), float(dataset.runtimes[int(r)]))
-            for r in icl_rows
-        ]
-        # cell_key already includes spec.seed, so sampling streams differ
-        # across seeds while everything else about the probe is shared.
-        gen_seed = derive_seed(
-            spec.root_seed, "generation", *spec.cell_key, probe_id
+    """Materialize per-probe inputs: (examples, query_row).
+
+    These depend on everything about the cell but its sampling seed, so
+    all cells of a seed group share them.
+    """
+    return [
+        (
+            [
+                (dataset.config(int(r)), float(dataset.runtimes[int(r)]))
+                for r in icl_rows
+            ],
+            query_row,
         )
-        inputs.append((examples, query_row, gen_seed))
-    return inputs
+        for icl_rows, query_row in _probes_for(spec, dataset)
+    ]
+
+
+def _generation_seed(cell: ExperimentSpec, probe_id: int) -> int:
+    # cell_key includes the sampling seed, so sampling streams differ
+    # across seeds while everything else about the probe is shared.
+    return derive_seed(cell.root_seed, "generation", *cell.cell_key, probe_id)
 
 
 def _probe_result(spec, dataset, query_row, pred) -> ProbeResult:
@@ -141,12 +147,20 @@ def _probe_result(spec, dataset, query_row, pred) -> ProbeResult:
 
 def run_spec(
     spec: ExperimentSpec, service=None, fault_plan=None,
-    prefix_cache: bool = True,
+    prefix_cache: bool = True, seeds=None,
 ) -> list[ProbeResult]:
-    """Execute all probes of one experiment cell.
+    """Execute all probes of one experiment cell, or of a seed group.
+
+    ``seeds`` (default: ``spec.seed`` alone) names a *seed group*: the
+    cells ``replace(spec, seed=s)`` for each ``s``, which differ only in
+    their sampling seed.  Their probe inputs are derived and each prompt
+    is built once for the whole group; the returned probes run cell by
+    cell in ``seeds`` order, ``spec.n_queries`` per cell.  Every probe
+    is identical to the one a separate single-seed call would give.
 
     With ``service=None`` probes run serially against the per-process
-    surrogate cache.  Given a :class:`repro.serve.PredictionService`, the
+    surrogate cache, each prompt decoding all of the group's seeds in one
+    lockstep batch.  Given a :class:`repro.serve.PredictionService`, the
     probes are submitted as a bulk request batch instead — the service's
     microbatcher and caches then handle scheduling and reuse.  Both paths
     are bit-identical for the default stack (the engine's determinism
@@ -159,21 +173,29 @@ def run_spec(
     through ``PredictionService(enable_prefix_cache=...)``).
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) is the grid-level
-    fault hook: a cell it selects (keyed on ``spec.cell_key``) raises
-    :class:`~repro.errors.InjectedFaultError` before running any probes,
-    which is how the checkpoint/resume tests simulate deterministic
-    mid-grid crashes.
+    fault hook: if it selects any cell of the group (keyed on
+    ``cell_key``), :class:`~repro.errors.InjectedFaultError` is raised
+    before any probe runs, which is how the checkpoint/resume tests
+    simulate deterministic mid-grid crashes.
     """
-    if fault_plan is not None and fault_plan.cell_fault(spec.cell_key):
-        from repro.errors import InjectedFaultError
+    cells = [spec] if seeds is None else [
+        replace(spec, seed=int(seed)) for seed in seeds
+    ]
+    if not cells:
+        raise ExperimentError("a seed group needs at least one seed")
+    if fault_plan is not None:
+        for cell in cells:
+            if fault_plan.cell_fault(cell.cell_key):
+                from repro.errors import InjectedFaultError
 
-        raise InjectedFaultError("run_spec", spec.cell_key)
+                raise InjectedFaultError("run_spec", cell.cell_key)
     with get_tracer().span(
         "runner.run_spec",
         size=spec.size,
         n_icl=spec.n_icl,
         set_id=spec.set_id,
         n_queries=spec.n_queries,
+        n_seeds=len(cells),
         via_service=service is not None,
         prefix_cache=bool(prefix_cache),
     ):
@@ -182,27 +204,36 @@ def run_spec(
         if service is not None:
             from repro.serve.request import Request
 
-            responses = service.submit_many(
-                Request(
-                    examples=examples,
-                    query_config=dataset.config(query_row),
-                    seed=gen_seed,
-                    size=spec.size,
+            preds = [
+                resp.prediction
+                for resp in service.submit_many(
+                    Request(
+                        examples=examples,
+                        query_config=dataset.config(query_row),
+                        seed=_generation_seed(cell, probe_id),
+                        size=spec.size,
+                    )
+                    for cell in cells
+                    for probe_id, (examples, query_row) in enumerate(inputs)
                 )
-                for examples, query_row, gen_seed in inputs
-            )
-            return [
-                _probe_result(spec, dataset, query_row, resp.prediction)
-                for (_, query_row, _), resp in zip(inputs, responses)
             ]
-        surrogate = _surrogate(spec.size, bool(prefix_cache))
-        results: list[ProbeResult] = []
-        for examples, query_row, gen_seed in inputs:
-            pred = surrogate.predict(
-                examples, dataset.config(query_row), seed=gen_seed
-            )
-            results.append(_probe_result(spec, dataset, query_row, pred))
-        return results
+        else:
+            surrogate = _surrogate(spec.size, bool(prefix_cache))
+            by_probe = [
+                surrogate.predict_parts_batch(
+                    surrogate.build_parts(
+                        examples, dataset.config(query_row)
+                    ),
+                    [_generation_seed(cell, probe_id) for cell in cells],
+                )
+                for probe_id, (examples, query_row) in enumerate(inputs)
+            ]
+            preds = [row[i] for i in range(len(cells)) for row in by_probe]
+        # Both paths hold predictions cell by cell, probes within a cell.
+        return [
+            _probe_result(cell, dataset, query_row, pred)
+            for (cell, (_, query_row)), pred in zip(product(cells, inputs), preds)
+        ]
 
 
 def run_grid(
@@ -218,23 +249,32 @@ def run_grid(
     """Execute a grid of experiments, optionally across processes.
 
     Results are returned flattened, in spec order (deterministic
-    regardless of parallelism).  When ``service`` is given, specs are
-    streamed through that :class:`repro.serve.PredictionService` instead
-    of the process pool (the service owns concurrency, batching, and
-    caching; ``workers`` is then ignored).
+    regardless of parallelism).  Each run of consecutive specs that
+    differ only in ``seed`` (the paper grid's innermost loop) executes as
+    one *seed group* through :func:`run_spec`, so its prompts are built
+    once and its seeds decode in one lockstep batch; the probes equal
+    those of separate per-cell runs.  When ``service`` is given, groups
+    are streamed through that :class:`repro.serve.PredictionService`
+    instead of the process pool (the service owns concurrency, batching,
+    and caching; ``workers`` is then ignored).
 
     Crash resumability: with ``checkpoint`` set, completed cells are
-    appended to that JSONL file every ``checkpoint_every`` cells, so a
-    killed run loses at most one chunk.  ``resume=True`` loads an
-    existing checkpoint, skips every cell already complete in it (a
-    partially written trailing cell is discarded and re-run), and
-    produces a probe set identical to an uninterrupted run — same
-    probes, same order, no duplicates.  Without ``resume``, an existing
-    checkpoint file is an error rather than silently overwritten.
+    appended to that JSONL file, ``checkpoint_every`` cells per fsynced
+    append, as soon as their seed group finishes; groups are gathered
+    until they hold at least ``checkpoint_every`` cells, so a hard kill
+    loses at most the seed groups of one such chunk — one seed group at
+    the default of 1, not one cell.  ``resume=True`` loads an existing
+    checkpoint, skips every cell already complete in it (a partially
+    written trailing cell is discarded and re-run), and produces a probe
+    set identical to an uninterrupted run — same probes, same order, no
+    duplicates.  Without ``resume``, an existing checkpoint file is an
+    error rather than silently overwritten.
 
     ``fault_plan`` and ``prefix_cache`` forward to :func:`run_spec`
     (deterministic grid-level fault injection; prepared-prefix reuse on
-    the serial path).
+    the serial path).  A cell the fault plan selects starts a new seed
+    group, so the siblings before it complete and are checkpointed
+    before it raises.
     """
     if not specs:
         raise ExperimentError("no experiments to run")
@@ -248,9 +288,11 @@ def run_grid(
         prefix_cache=bool(prefix_cache),
     ):
         if checkpoint is None:
-            nested = _run_cells(specs, workers=workers, service=service,
-                                fault_plan=fault_plan,
-                                prefix_cache=prefix_cache)
+            nested = _run_groups(
+                _seed_groups(specs, fault_plan), workers=workers,
+                service=service, fault_plan=fault_plan,
+                prefix_cache=prefix_cache,
+            )
             return [probe for cell in nested for probe in cell]
         return _run_grid_checkpointed(
             specs,
@@ -264,23 +306,62 @@ def run_grid(
         )
 
 
-def _run_cells(
-    specs: list[ExperimentSpec], workers, service, fault_plan,
+def _seed_groups(specs, fault_plan) -> list[list[ExperimentSpec]]:
+    """Split ``specs`` into runs of consecutive cells differing only in seed.
+
+    A cell ``fault_plan`` selects starts a new group, so the group before
+    it completes (and is checkpointed) before that cell raises.
+    """
+    groups: list[list[ExperimentSpec]] = []
+    for spec in specs:
+        if (
+            groups
+            and replace(groups[-1][0], seed=spec.seed) == spec
+            and not (
+                fault_plan is not None and fault_plan.cell_fault(spec.cell_key)
+            )
+        ):
+            groups[-1].append(spec)
+        else:
+            groups.append([spec])
+    return groups
+
+
+def _run_group(
+    group: list[ExperimentSpec], service=None, fault_plan=None,
     prefix_cache: bool = True,
 ) -> list[list[ProbeResult]]:
-    """Run cells through the service or the process pool (spec order)."""
+    """Run one seed group through ``run_spec``; its probes split by cell."""
+    probes = run_spec(
+        group[0], service=service, fault_plan=fault_plan,
+        prefix_cache=prefix_cache, seeds=[spec.seed for spec in group],
+    )
+    n = group[0].n_queries
+    return [probes[i * n : (i + 1) * n] for i in range(len(group))]
+
+
+def _run_groups(
+    groups: list[list[ExperimentSpec]], workers, service, fault_plan,
+    prefix_cache: bool = True,
+) -> list[list[ProbeResult]]:
+    """Run seed groups through the service or the process pool.
+
+    Returns one probe list per cell, in spec order.
+    """
     if service is not None:
-        return [
-            run_spec(spec, service=service, fault_plan=fault_plan)
-            for spec in specs
+        nested = [
+            _run_group(group, service=service, fault_plan=fault_plan)
+            for group in groups
         ]
-    if fault_plan is None and prefix_cache:
-        fn = run_spec
     else:
-        fn = partial(
-            run_spec, fault_plan=fault_plan, prefix_cache=prefix_cache
+        nested = parallel_map(
+            partial(
+                _run_group, fault_plan=fault_plan, prefix_cache=prefix_cache
+            ),
+            groups,
+            workers=workers,
         )
-    return parallel_map(fn, specs, workers=workers)
+    return [cell for cells in nested for cell in cells]
 
 
 def _run_grid_checkpointed(
@@ -321,15 +402,26 @@ def _run_grid_checkpointed(
             ],
             path,
         )
-    remaining = [spec for spec in specs if spec.cell_key not in done]
-    for start in range(0, len(remaining), every):
-        chunk = remaining[start : start + every]
-        nested = _run_cells(chunk, workers=workers, service=service,
-                            fault_plan=fault_plan,
-                            prefix_cache=prefix_cache)
-        append_probes_jsonl(
-            [probe for cell in nested for probe in cell], path
-        )
+    groups = _seed_groups(
+        [spec for spec in specs if spec.cell_key not in done], fault_plan
+    )
+    start = 0
+    while start < len(groups):
+        # Gather whole groups until they hold at least `every` cells.
+        stop, n_cells = start, 0
+        while stop < len(groups) and n_cells < every:
+            n_cells += len(groups[stop])
+            stop += 1
+        chunk = [spec for group in groups[start:stop] for spec in group]
+        nested = _run_groups(groups[start:stop], workers=workers,
+                             service=service, fault_plan=fault_plan,
+                             prefix_cache=prefix_cache)
+        for lo in range(0, len(chunk), every):
+            append_probes_jsonl(
+                [probe for cell in nested[lo : lo + every] for probe in cell],
+                path,
+            )
         for spec, cell in zip(chunk, nested):
             done[spec.cell_key] = cell
+        start = stop
     return [probe for spec in specs for probe in done[spec.cell_key]]

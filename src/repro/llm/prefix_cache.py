@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.llm.scorers import FormatPrefixIndex
+from repro.llm.scorers import FormatPrefixIndex, NgramIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (model -> cache)
     from repro.llm.model import SurrogateLM
@@ -64,8 +64,8 @@ class PreparedPrefix:
     fingerprint:
         :func:`token_fingerprint` of ``ids`` (the cache key).
     induction:
-        Suffix-match window index (n-gram length -> window bytes ->
-        sorted start positions).
+        Suffix-match window index (packed n-gram keys, sorted, with
+        their start positions).
     unigram:
         ``(unique_tokens, inverse)`` factorization of the prefix.
     format_index:
@@ -76,7 +76,7 @@ class PreparedPrefix:
 
     ids: np.ndarray
     fingerprint: str
-    induction: Mapping[int, Mapping[bytes, np.ndarray]]
+    induction: NgramIndex
     unigram: tuple[np.ndarray, np.ndarray]
     format_index: FormatPrefixIndex
     size_counts: Mapping[str, int]

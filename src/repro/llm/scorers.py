@@ -35,6 +35,7 @@ from repro.utils.rng import rng_from
 __all__ = [
     "SparseScores",
     "InductionScorer",
+    "NgramIndex",
     "RecencyUnigramScorer",
     "FormatScorer",
     "FormatAnalysis",
@@ -72,6 +73,64 @@ class SparseScores:
         summed = np.zeros(uniq.size)
         np.add.at(summed, inverse, all_scores)
         return SparseScores(uniq, summed)
+
+
+#: Packed n-gram keys must stay within int64.
+_KEY_LIMIT = 2**63
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class NgramIndex:
+    """Packed n-gram windows of a fixed prompt prefix.
+
+    A length-``L`` window ``t_0 .. t_{L-1}`` packs into the int64 key
+    ``sum(t_i * base**(L-1-i))``; ``base`` is the prefix's largest id
+    plus one, so keys are unique per window.
+
+    Attributes
+    ----------
+    base:
+        Key radix.
+    keys:
+        ``keys[L-1]``: sorted keys of the length-``L`` windows.
+    starts:
+        ``starts[L-1]``: window start of each key, ascending within a key.
+    """
+
+    base: int
+    keys: tuple[np.ndarray, ...]
+    starts: tuple[np.ndarray, ...]
+
+    def suffix_matches(
+        self, context: np.ndarray, max_len: int
+    ) -> list[np.ndarray | None]:
+        """Indexed starts matching each ``context`` suffix of length 1..max_len.
+
+        Entry ``L-1`` lists the prefix windows equal to the last ``L``
+        tokens of ``context``, or is None when there are none (a suffix
+        token absent from the prefix range can match nothing).
+        """
+        out: list[np.ndarray | None] = [None] * max_len
+        n = len(context)
+        key = 0
+        place = 1
+        for length in range(1, min(max_len, len(self.keys)) + 1):
+            tok = int(context[n - length])
+            if not 0 <= tok < self.base:
+                break
+            key += tok * place
+            place *= self.base
+            keys = self.keys[length - 1]
+            lo = int(np.searchsorted(keys, key, side="left"))
+            hi = int(np.searchsorted(keys, key, side="right"))
+            if hi > lo:
+                out[length - 1] = self.starts[length - 1][lo:hi]
+        return out
 
 
 class InductionScorer:
@@ -156,39 +215,49 @@ class InductionScorer:
     # implementation; ``score_indexed`` must be bit-identical to it (the
     # prefix-cache determinism tests diff full logit arrays both ways).
     # ------------------------------------------------------------------ #
-    def build_index(
-        self, prefix: np.ndarray
-    ) -> dict[int, dict[bytes, np.ndarray]]:
+    def build_index(self, prefix: np.ndarray) -> NgramIndex:
         """Precompute the suffix-match table for a fixed prompt prefix.
 
-        For every n-gram length the index maps window bytes to the sorted
-        window-start positions within the prefix whose *next token* is
-        also inside the prefix (``start <= len(prefix) - 1 - length``) —
-        exactly the starts the reference full scan would find there.
+        For every n-gram length the index holds the windows whose *next
+        token* is also inside the prefix (``start <= len(prefix) - 1 -
+        length``) — exactly the starts the reference full scan would find
+        there — as packed integer keys sorted stably, so each key's starts
+        stay ascending.
+
+        Raises
+        ------
+        ValueError
+            If the prefix holds a negative id, or its largest id makes
+            ``max_ngram``-token keys overflow int64.
         """
         ctx = np.asarray(prefix, dtype=np.int64)
         p = ctx.size
-        index: dict[int, dict[bytes, np.ndarray]] = {}
+        if p and int(ctx.min()) < 0:
+            raise ValueError("token ids must be non-negative")
+        base = int(ctx.max()) + 1 if p else 1
+        if base**self.max_ngram > _KEY_LIMIT:
+            raise ValueError(
+                f"{self.max_ngram}-gram keys over ids < {base} overflow int64"
+            )
+        keys_by_len: list[np.ndarray] = []
+        starts_by_len: list[np.ndarray] = []
+        keys = ctx[: p - 1]
         for length in range(1, self.max_ngram + 1):
             if p - 1 < length:
                 break
-            windows = np.lib.stride_tricks.sliding_window_view(
-                ctx[: p - 1], length
-            )
-            table: dict[bytes, list[int]] = {}
-            for start in range(windows.shape[0]):
-                key = windows[start].tobytes()
-                table.setdefault(key, []).append(start)
-            index[length] = {
-                key: np.asarray(starts, dtype=np.int64)
-                for key, starts in table.items()
-            }
-        return index
+            if length > 1:
+                # Window s of length L is window s of length L-1 shifted
+                # one radix place, plus the token at s + L - 1.
+                keys = keys[: p - length] * base + ctx[length - 1 : p - 1]
+            order = np.argsort(keys, kind="stable")
+            keys_by_len.append(_frozen(keys[order]))
+            starts_by_len.append(_frozen(order.astype(np.int64, copy=False)))
+        return NgramIndex(base, tuple(keys_by_len), tuple(starts_by_len))
 
     def score_indexed(
         self,
         context: np.ndarray,
-        index: dict[int, dict[bytes, np.ndarray]],
+        index: NgramIndex,
         prefix_len: int,
         offset_shift: float = 0.0,
     ) -> SparseScores:
@@ -208,10 +277,10 @@ class InductionScorer:
         max_l = min(self.max_ngram, n - 1)
         tok_parts: list[np.ndarray] = []
         weight_parts: list[np.ndarray] = []
+        prefix_starts = index.suffix_matches(ctx, max_l)
         for length in range(1, max_l + 1):
-            suffix = np.ascontiguousarray(ctx[n - length :])
-            table = index.get(length)
-            pre = table.get(suffix.tobytes()) if table else None
+            suffix = ctx[n - length :]
+            pre = prefix_starts[length - 1]
             # Starts >= prefix_len - length cross the boundary or live in
             # the suffix; rescan just that region of the full context.
             lo = max(0, prefix_len - length)

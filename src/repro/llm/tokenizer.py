@@ -17,6 +17,7 @@ matter for the paper's analysis):
 from __future__ import annotations
 
 import re
+import threading
 
 from repro.errors import TokenizationError
 from repro.llm.vocab import Vocabulary, build_default_vocabulary
@@ -24,6 +25,9 @@ from repro.llm.vocab import Vocabulary, build_default_vocabulary
 __all__ = ["chunk_digits", "Tokenizer"]
 
 # Pieces: special markers | space?+letters | digits | space?+single other char.
+# The last alternative takes any character no other one matches (exotic
+# whitespace such as tabs) as a piece of its own, so the pieces tile the
+# text exactly.
 _PIECE_RE = re.compile(
     r"<\|[a-z_]+\|>"  # special tokens pass through whole
     r"|\n\n|\n"
@@ -31,7 +35,12 @@ _PIECE_RE = re.compile(
     r"|[0-9]+"
     r"| ?[^\sA-Za-z0-9]"
     r"| +"
+    r"|[\s\S]"
 )
+
+#: Most distinct pieces a tokenizer remembers the ids of.  The memo is
+#: insert-only: once full, new pieces are encoded without being stored.
+PIECE_MEMO_CAP = 4096
 
 
 def _is_ascii_digits(s: str) -> bool:
@@ -55,20 +64,27 @@ class Tokenizer:
 
     def __init__(self, vocab: Vocabulary | None = None):
         self.vocab = vocab or build_default_vocabulary()
+        # Prompts repeat the same few hundred pieces (config keywords,
+        # digit runs), so encoding is mostly dictionary lookups.  Reads
+        # take no lock; inserts take one so the cap holds across threads.
+        self._piece_memo: dict[str, tuple[int, ...]] = {}
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def encode(self, text: str) -> list[int]:
         """Encode ``text`` into token ids (never fails; byte fallback)."""
         ids: list[int] = []
-        pos = 0
-        for match in _PIECE_RE.finditer(text):
-            if match.start() != pos:
-                # Characters the piece regex skipped (exotic whitespace).
-                self._encode_fallback(text[pos : match.start()], ids)
-            self._encode_piece(match.group(0), ids)
-            pos = match.end()
-        if pos != len(text):
-            self._encode_fallback(text[pos:], ids)
+        memo = self._piece_memo
+        for piece in _PIECE_RE.findall(text):
+            piece_ids = memo.get(piece)
+            if piece_ids is None:
+                out: list[int] = []
+                self._encode_piece(piece, out)
+                piece_ids = tuple(out)
+                with self._memo_lock:
+                    if len(memo) < PIECE_MEMO_CAP:
+                        memo[piece] = piece_ids
+            ids.extend(piece_ids)
         return ids
 
     def _encode_piece(self, piece: str, ids: list[int]) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,6 +25,9 @@ from repro.prompts.templates import (
 )
 
 __all__ = ["PromptParts", "PromptBuilder"]
+
+#: Distinct prefix encodings a builder keeps (oldest inserted evicted).
+_PREFIX_MEMO_SIZE = 8
 
 
 @dataclass
@@ -84,7 +88,9 @@ class PromptBuilder:
         # Shared-prefix encodings recur for every query of a sweep; memoize
         # a handful (keyed by prefix text) so prefix_len costs one encode
         # per distinct (system, examples) combination, not per prompt.
+        # Serving workers share one builder, so the memo is locked.
         self._prefix_ids_memo: dict[str, np.ndarray] = {}
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def _chat_prefix(self, system: str, user_head: str) -> str:
@@ -97,20 +103,16 @@ class PromptBuilder:
             f"{user_head}"
         )
 
-    def _chat_wrap(self, system: str, user: str) -> str:
-        """Wrap system/user content in Llama-3 chat markers."""
-        return self._chat_prefix(system, user) + (
-            "<|eot_id|>"
-            "<|start_header_id|>assistant<|end_header_id|>\n\n"
-        )
-
     def _prefix_ids(self, prefix_text: str) -> np.ndarray:
-        pids = self._prefix_ids_memo.get(prefix_text)
+        with self._memo_lock:
+            pids = self._prefix_ids_memo.get(prefix_text)
         if pids is None:
             pids = np.asarray(self.tokenizer.encode(prefix_text), dtype=np.int64)
-            if len(self._prefix_ids_memo) >= 8:
-                self._prefix_ids_memo.pop(next(iter(self._prefix_ids_memo)))
-            self._prefix_ids_memo[prefix_text] = pids
+            with self._memo_lock:
+                memo = self._prefix_ids_memo
+                memo[prefix_text] = pids
+                while len(memo) > _PREFIX_MEMO_SIZE:
+                    del memo[next(iter(memo))]
         return pids
 
     @staticmethod

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.llm.scorers import (
     FormatScorer,
@@ -220,3 +221,79 @@ class TestPriorScorer:
         b = PriorScorer(tok.vocab, prior_seed=4)
         ids = np.array([1, 2, 3])
         assert not np.array_equal(a.bias_for(ids), b.bias_for(ids))
+
+
+class TestPackedNgramIndex:
+    """The packed-key index path against the reference full scan."""
+
+    @staticmethod
+    def assert_indexed_equals_cold(prefix, generated, **params):
+        scorer = InductionScorer(**params)
+        prefix = np.asarray(prefix, dtype=np.int64)
+        ctx = np.concatenate([prefix, np.asarray(generated, dtype=np.int64)])
+        index = scorer.build_index(prefix)
+        for n in range(prefix.size, ctx.size + 1):
+            cold = scorer.score(ctx[:n], offset_shift=-1.3)
+            warm = scorer.score_indexed(
+                ctx[:n], index, prefix.size, offset_shift=-1.3
+            )
+            assert np.array_equal(cold.ids, warm.ids)
+            # Bit-for-bit: no tolerance.
+            assert np.array_equal(cold.scores, warm.scores)
+
+    @given(
+        prefix=st.lists(st.integers(0, 6), min_size=0, max_size=5),
+        generated=st.lists(
+            st.integers(0, 6) | st.integers(7, 2081), min_size=1, max_size=8
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_short_prefixes(self, prefix, generated):
+        """Prefix lengths 0-5; generated ids in, absent from and above it."""
+        self.assert_indexed_equals_cold(prefix, generated)
+
+    @given(
+        prefix=st.lists(st.integers(0, 3), min_size=6, max_size=60),
+        generated=st.lists(
+            st.integers(0, 3) | st.integers(4, 2081), min_size=1, max_size=10
+        ),
+        max_ngram=st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_longer_prefixes(self, prefix, generated, max_ngram):
+        self.assert_indexed_equals_cold(
+            prefix, generated, max_ngram=max_ngram
+        )
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 40])
+    def test_repeated_token_prefix(self, length):
+        self.assert_indexed_equals_cold([9] * length, [9, 9, 3, 9, 9, 9, 12])
+
+    def test_starts_ascend_within_each_key(self):
+        rng = np.random.default_rng(3)
+        index = InductionScorer().build_index(rng.integers(0, 5, size=400))
+        for keys, starts in zip(index.keys, index.starts):
+            assert np.all(np.diff(keys) >= 0)
+            same = np.diff(keys) == 0
+            assert np.all(np.diff(starts)[same] > 0)
+
+    def test_default_vocabulary_keys_fit_well_inside_int64(self, tok):
+        size = len(tok.vocab)
+        assert size**4 < 2**45
+        index = InductionScorer().build_index(np.array([0, size - 1, 5]))
+        assert index.base == size
+
+    def test_key_overflow_raises_at_build(self):
+        with pytest.raises(ValueError, match="overflow"):
+            InductionScorer(max_ngram=4).build_index(np.array([1, 2**16]))
+        with pytest.raises(ValueError, match="overflow"):
+            InductionScorer(max_ngram=8).build_index(np.array([1, 300]))
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            InductionScorer().build_index(np.array([1, -2, 3]))
+
+    def test_index_is_read_only(self):
+        index = InductionScorer().build_index(np.array([1, 2, 1, 2, 3]))
+        with pytest.raises(ValueError):
+            index.keys[0][0] = 7

@@ -1,10 +1,12 @@
 """Tests for the tokenizer (digit chunking, round-trip, fallbacks)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TokenizationError
-from repro.llm.tokenizer import Tokenizer, chunk_digits
+from repro.llm.tokenizer import PIECE_MEMO_CAP, Tokenizer, chunk_digits
 
 
 class TestChunkDigits:
@@ -100,3 +102,72 @@ class TestSegmentation:
         ids = tokenizer.encode("é")
         assert all(tokenizer.vocab.is_byte(i) for i in ids)
         assert tokenizer.decode(ids) == "é"
+
+
+def reference_encode(tok, text):
+    """Memo-free encoding: scan pieces, falling back on skipped characters."""
+    piece_re = re.compile(
+        r"<\|[a-z_]+\|>|\n\n|\n| ?[A-Za-z]+|[0-9]+| ?[^\sA-Za-z0-9]| +"
+    )
+    ids, pos = [], 0
+    for match in piece_re.finditer(text):
+        if match.start() != pos:
+            tok._encode_fallback(text[pos : match.start()], ids)
+        tok._encode_piece(match.group(0), ids)
+        pos = match.end()
+    if pos != len(text):
+        tok._encode_fallback(text[pos:], ids)
+    return ids
+
+
+# Letters, digits, punctuation, exotic whitespace the piece regex has no
+# pattern for, a non-ASCII digit ('²'), and characters that need bytes.
+_FUZZ_ALPHABET = (
+    "abcXYZ019 .,:_-\n\t\r\x0b\x0c\u00a0\u3000"
+    "\u00b2\u00b3\u00e9\u6f22\U0001f642"
+)
+
+
+class TestPieceMemo:
+    @given(
+        st.lists(
+            st.sampled_from(
+                list(_FUZZ_ALPHABET)
+                + ["<|eot_id|>", " configuration", " 0.0022155", "\n\n"]
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_equals_reference(self, parts):
+        tok = Tokenizer()
+        text = "".join(parts)
+        expected = reference_encode(tok, text)
+        assert tok.encode(text) == expected  # cold memo
+        assert tok.encode(text) == expected  # warm memo
+        assert tok.decode(expected) == text
+
+    def test_prompt_text_matches_reference(self, tokenizer, sm_dataset):
+        from repro.dataset import Syr2kTask
+        from repro.prompts.builder import PromptBuilder
+
+        builder = PromptBuilder(Syr2kTask("SM"), tokenizer)
+        examples = [
+            (sm_dataset.config(i), float(sm_dataset.runtimes[i]))
+            for i in range(20)
+        ]
+        text = builder.discriminative(examples, sm_dataset.config(30)).text
+        assert tokenizer.encode(text) == reference_encode(tokenizer, text)
+
+    def test_memo_never_grows_past_cap(self):
+        tok = Tokenizer()
+        words = [
+            " " + "".join("abcdefghij"[int(d)] for d in f"{i:05d}")
+            for i in range(PIECE_MEMO_CAP + 500)
+        ]
+        text = "".join(words)
+        assert tok.encode(text) == reference_encode(tok, text)
+        assert len(tok._piece_memo) == PIECE_MEMO_CAP
+        # Pieces past the cap still encode, just without being stored.
+        assert tok.encode(text) == reference_encode(tok, text)
+        assert len(tok._piece_memo) == PIECE_MEMO_CAP

@@ -89,3 +89,48 @@ class TestCandidateSampling:
     def test_empty_examples_rejected(self, builder):
         with pytest.raises(PromptError):
             builder.candidate_sampling([], 0.002)
+
+
+class TestPrefixMemoThreads:
+    def test_concurrent_builds_past_memo_size(
+        self, sm_task, tokenizer, sm_dataset
+    ):
+        """Serving workers share one builder: eviction must not race."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.core.surrogate import DiscriminativeSurrogate
+        from repro.prompts.builder import _PREFIX_MEMO_SIZE
+
+        # Switch threads as often as possible to shake out interleavings.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            surrogate = DiscriminativeSurrogate(
+                sm_task, tokenizer=tokenizer, prefix_cache=False
+            )
+            n_prefixes = 3 * _PREFIX_MEMO_SIZE
+            jobs = [
+                (
+                    [
+                        (sm_dataset.config(k + j), float(sm_dataset.runtimes[k + j]))
+                        for j in range(2)
+                    ],
+                    sm_dataset.config(500 + q),
+                )
+                for q in range(4)
+                for k in range(n_prefixes)
+            ]
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                built = list(pool.map(
+                    lambda job: surrogate.build_parts(*job), jobs * 3,
+                    timeout=120,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = PromptBuilder(sm_task, tokenizer)
+        for (examples, query), parts in zip(jobs * 3, built):
+            expected = fresh.discriminative(examples, query)
+            assert np.array_equal(parts.ids, expected.ids)
+            assert parts.prefix_len == expected.prefix_len
+        assert len(surrogate.builder._prefix_ids_memo) <= _PREFIX_MEMO_SIZE
