@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_1d
 
@@ -64,6 +63,8 @@ def aggregate_metric(values, confidence: float = 0.95) -> CLTAggregate:
     std = float(arr.std(ddof=1)) if n > 1 else 0.0
     sem = std / np.sqrt(n) if n > 1 else 0.0
     if n > 1 and sem > 0:
+        from scipy import stats
+
         tcrit = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
         half = tcrit * sem
     else:

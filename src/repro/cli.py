@@ -244,8 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument(
-        "--max-wait", type=float, default=0.005,
-        help="microbatch flush deadline in seconds",
+        "--max-wait", type=float, default=0.0,
+        help="longest a forming microbatch lingers for more requests, in "
+        "seconds from its first request's admission (default 0, the "
+        "service's: a free worker takes only what is already queued)",
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument(

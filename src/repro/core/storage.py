@@ -83,9 +83,6 @@ _EVENTS_FORMAT = "repro-events"
 _FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
-# Legacy aliases kept for callers/tests that introspect the module.
-_EVENTS_VERSION = _FORMAT_VERSION
-
 
 # ---------------------------------------------------------------------- #
 # Integrity counters (surfaced by repro.obs.collect_service_metrics)

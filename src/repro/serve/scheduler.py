@@ -1,17 +1,18 @@
-"""Microbatching scheduler: bounded admission queue + flush-on-size-or-wait.
+"""Work-conserving microbatching: batch workers cut their own batches.
 
-The scheduler owns one collector thread and a pool of batch workers.  The
-collector pulls tickets off a bounded queue and groups them into batches,
-flushing as soon as either the batch is full (``max_batch_size``) or the
-oldest queued ticket has waited ``max_wait_s`` — the classic
-latency/throughput microbatching trade-off.  Full batches are handed to
-the worker pool, so multiple batches execute concurrently while the
-collector keeps admitting traffic.
+Each batch worker loops: take the forming lock, block until a ticket
+arrives on the bounded admission queue, take the tickets already queued
+(up to ``max_batch_size``), linger until the first has waited
+``max_wait_s`` (default 0: not at all), release the lock and execute.
+Batches thus form only from queued work (Clipper's adaptive batching,
+Crankshaw et al., NSDI 2017): a free worker never holds a request back,
+and batches grow while every worker is busy.  One batch forms at a time,
+so same-prompt tickets queued together meet in one batch.  The queue
+bound is the backpressure, and idle workers block, burning no CPU.
 
-The worker pool is sized through :func:`repro.utils.parallel.effective_workers`
-with oversubscription allowed: batch execution here is in-process Python
-with no IO, and the service intentionally runs more batch workers than
-cores to keep batches flowing while others sit on cache locks.
+Workers resolve through :func:`repro.utils.parallel.effective_workers`
+with oversubscription allowed: batch execution is in-process Python with
+no IO, so more workers than cores keep batches flowing past cache locks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,9 +30,6 @@ from repro.serve.request import Request
 from repro.utils.parallel import effective_workers
 
 __all__ = ["Ticket", "MicroBatcher"]
-
-#: Collector poll granularity while waiting out a batch deadline.
-_POLL_S = 0.5
 
 
 @dataclass
@@ -58,15 +56,12 @@ class Ticket:
     group_key: str = ""
 
 
-class _Sentinel:
-    """Queue marker that tells the collector to flush and exit."""
-
-
-_STOP = _Sentinel()
+#: Queue marker that tells the batch workers to stop.
+_STOP = object()
 
 
 class MicroBatcher:
-    """Batch requests by size/deadline and dispatch them to a worker pool.
+    """Batch queued requests and execute them on self-scheduling workers.
 
     Parameters
     ----------
@@ -74,26 +69,24 @@ class MicroBatcher:
         Callback receiving a non-empty ``list[Ticket]``; it must resolve
         every ticket's future (result or exception) and never raise.
     max_batch_size:
-        Flush threshold; also the denominator of batch occupancy.
+        Most tickets one batch takes; also the denominator of batch
+        occupancy.
     max_wait_s:
-        Maximum time the oldest ticket may wait before a partial batch is
-        flushed anyway.
+        Longest a forming batch lingers for more tickets, counted from
+        its first ticket's enqueue time.  ``0`` (default) cuts a batch
+        from whatever is queued the moment a worker is free.
     queue_capacity:
         Bound on admitted-but-unbatched tickets; beyond it
         :meth:`submit` raises :class:`ServiceOverloadedError`.
     workers:
         Batch-worker count (resolved with oversubscription allowed;
-        ``None`` uses the clamped default).
-    max_inflight_batches:
-        Bound on dispatched-but-unfinished batches (default ``2 *
-        workers``: one running, one ready per worker).  Without this the
-        collector would drain the bounded queue into the executor's
-        unbounded backlog and the queue bound would never exert
-        backpressure.
+        ``None`` uses the clamped default).  It also bounds the batches
+        executing at once.
     fault_injector:
         Optional :class:`repro.faults.FaultInjector`; its
         ``before_flush`` hook runs on every flush (queue-stall
-        injection), keyed on the flush index.
+        injection), keyed on the flush index, while the forming lock is
+        held — a stall holds up all batching.
     """
 
     def __init__(
@@ -101,10 +94,9 @@ class MicroBatcher:
         execute_batch: Callable[[list[Ticket]], None],
         *,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.005,
+        max_wait_s: float = 0.0,
         queue_capacity: int = 1024,
         workers: int | None = None,
-        max_inflight_batches: int | None = None,
         fault_injector=None,
     ):
         if max_batch_size < 1:
@@ -122,28 +114,24 @@ class MicroBatcher:
         self.queue_capacity = int(queue_capacity)
         self._execute_batch = execute_batch
         self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
-        nworkers = effective_workers(workers, allow_oversubscription=True)
-        if max_inflight_batches is None:
-            max_inflight_batches = 2 * nworkers
-        if max_inflight_batches < 1:
-            raise ValueError(
-                f"max_inflight_batches must be >= 1, got {max_inflight_batches}"
-            )
         self._faults = fault_injector
         self._flush_count = 0
-        #: Set by close(); read by the collector when the sentinel lands
-        #: to decide the in-hand partial batch's fate (execute vs. fail).
+        #: Held by the one worker forming a batch; also guards
+        #: _flush_count and _stopped (set once a worker took the sentinel).
+        self._forming = threading.Lock()
+        self._stopped = False
+        #: False once close(drain=False) began: forming batches fail.
         self._drain_on_close = True
-        self._inflight = threading.Semaphore(max_inflight_batches)
-        self._pool = ThreadPoolExecutor(
-            max_workers=nworkers,
-            thread_name_prefix="repro-serve-batch",
-        )
         self._closed = threading.Event()
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-serve-collector", daemon=True
-        )
-        self._collector.start()
+        nworkers = effective_workers(workers, allow_oversubscription=True)
+        self._workers = [
+            threading.Thread(
+                target=self._work, name=f"repro-serve-batch-{i}", daemon=True
+            )
+            for i in range(nworkers)
+        ]
+        for worker in self._workers:
+            worker.start()
 
     # ------------------------------------------------------------------ #
     def submit(self, ticket: Ticket, *, block: bool = False) -> None:
@@ -151,7 +139,7 @@ class MicroBatcher:
 
         With ``block=True`` a full queue waits for space instead of
         raising (cooperative backpressure for bulk submitters); the
-        collector keeps draining, so the wait always progresses.
+        workers keep draining, so the wait always progresses.
         """
         if self._closed.is_set():
             raise ServiceClosedError("service is shut down")
@@ -169,24 +157,26 @@ class MicroBatcher:
                     raise ServiceOverloadedError(
                         self.queue_capacity, depth=self._queue.qsize()
                     ) from None
-        # close() may have raced the enqueue: the collector could already
-        # have passed (or be past) the shutdown sentinel, in which case
-        # this ticket would never be batched and its future never
-        # resolved.  Cancelling wins only while the ticket is still
-        # pending — if the collector did pick it up, it completes
-        # normally and the submission stands.
-        if self._closed.is_set() and ticket.future.cancel():
-            raise ServiceClosedError("service shut down during submission")
+        # close() may have raced the enqueue, and the workers may already
+        # have taken the sentinel.  Cancelling wins only while the ticket
+        # is still pending: one a worker picked up completes normally.
+        # Once the workers stopped, cancel the other orphans too, freeing
+        # the slots that submitters blocked on a full queue wait for.
+        if self._closed.is_set():
+            if self._stopped:
+                self._drain_queue(lambda queued: queued.future.cancel())
+            if ticket.future.cancel():
+                raise ServiceClosedError("service shut down during submission")
 
     def close(self, drain: bool = True) -> None:
         """Stop admissions and shut the scheduler down.
 
         With ``drain=True`` (graceful), every already-admitted ticket is
-        batched and executed before the worker pool stops.  With
+        batched and executed before the workers stop.  With
         ``drain=False``, unbatched tickets fail with
-        :class:`ServiceClosedError` — including the partial batch the
-        collector holds in hand when the sentinel arrives — and only
-        batches already dispatched to the pool run to completion.
+        :class:`ServiceClosedError` — including a batch a worker is still
+        lingering on — and only batches already executing run to
+        completion.
 
         Idempotent; safe to call from ``with``-exit and explicitly.
         """
@@ -196,73 +186,61 @@ class MicroBatcher:
         self._closed.set()
         if not drain:
             # Reject everything still queued before the sentinel lands.
-            while True:
-                try:
-                    ticket = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(ticket, Ticket):
-                    _fail_closed(ticket)
+            self._drain_queue(_fail_closed)
         self._queue.put(_STOP)
-        self._collector.join()
-        # Sweep tickets enqueued after the sentinel (submit racing
-        # close): cancel them so the racing submitter's own post-enqueue
-        # check converts the cancellation into ServiceClosedError instead
-        # of waiting forever on an unresolved future.
+        for worker in self._workers:
+            worker.join()
+        # Cancel tickets enqueued after the sentinel (submits racing
+        # close); each racing submitter then raises ServiceClosedError.
+        self._drain_queue(lambda ticket: ticket.future.cancel())
+
+    def _drain_queue(self, settle: Callable[[Ticket], object]) -> None:
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
-                break
+                return
             if isinstance(item, Ticket):
-                item.future.cancel()
-        self._pool.shutdown(wait=True)
+                settle(item)
 
     # ------------------------------------------------------------------ #
-    def _collect(self) -> None:
-        """Collector loop: group tickets into batches, dispatch on flush."""
-        batch: list[Ticket] = []
-        deadline: float | None = None
-        while True:
-            if deadline is None:
-                timeout = _POLL_S
-            else:
-                # Never let the poll granularity outlive the deadline: a
-                # partial batch with max_wait_s < _POLL_S must flush at
-                # its deadline, not at the next 0.5s poll tick.
-                timeout = min(
-                    _POLL_S, max(deadline - time.monotonic(), 0.0)
-                )
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                if batch and time.monotonic() >= deadline:
+    def _work(self) -> None:
+        """Batch-worker loop: cut the next batch and execute it."""
+        while (batch := self._next_batch()) is not None:
+            self._execute_batch(batch)
+
+    def _next_batch(self) -> list[Ticket] | None:
+        """Form one batch under the forming lock (``None``: stop)."""
+        with self._forming:
+            while not self._stopped:
+                first = self._queue.get()
+                if first is _STOP:
+                    self._stopped = True
+                    return None
+                batch = [first]
+                # The linger deadline is anchored at the first ticket's
+                # *enqueue* time: time it already spent queued behind busy
+                # workers counts against max_wait_s.
+                deadline = first.enqueued_at + self.max_wait_s
+                while len(batch) < self.max_batch_size:
+                    try:
+                        item = self._queue.get(
+                            timeout=max(deadline - time.monotonic(), 0.0)
+                        )
+                    except queue.Empty:
+                        break
+                    if item is _STOP:
+                        self._stopped = True
+                        break
+                    batch.append(item)
+                if self._drain_on_close:
                     self._flush(batch)
-                    batch, deadline = [], None
-                continue
-            if isinstance(item, _Sentinel):
-                if batch:
-                    if self._drain_on_close:
-                        self._flush(batch)
-                    else:
-                        # Non-drain close: the docstring promises every
-                        # unbatched ticket fails with ServiceClosedError
-                        # — that includes this in-hand partial batch, not
-                        # just tickets still sitting on the queue.
-                        for ticket in batch:
-                            _fail_closed(ticket)
-                break
-            if not batch:
-                # Anchor the flush deadline at the ticket's *enqueue*
-                # time, not collector pickup: if the collector was parked
-                # in a flush (dispatch-slot wait), time already spent in
-                # the queue counts against max_wait_s instead of silently
-                # restarting the clock.
-                deadline = item.enqueued_at + self.max_wait_s
-            batch.append(item)
-            if len(batch) >= self.max_batch_size:
-                self._flush(batch)
-                batch, deadline = [], None
+                    return batch
+                # Non-drain close: fail it and keep taking items until the
+                # sentinel, so blocked puts (the sentinel's too) get in.
+                for ticket in batch:
+                    _fail_closed(ticket)
+            return None
 
     def _flush(self, batch: list[Ticket]) -> None:
         if len(batch) > 1 and any(t.group_key for t in batch):
@@ -270,22 +248,13 @@ class MicroBatcher:
             # lockstep decode group downstream) while admission order is
             # preserved within each group.
             batch.sort(key=lambda t: t.group_key)
-        # The flush span covers the injected stall and the dispatch-slot
-        # wait — the two places a batch loses time before a worker has it.
+        # The flush span covers the injected stall — time a formed batch
+        # loses before its worker runs it.
         with get_tracer().span("serve.flush", batch_size=len(batch)) as span:
             if self._faults is not None:
-                # Only the collector thread flushes, so the index needs
-                # no lock.
                 self._flush_count += 1
                 span.set(flush_index=self._flush_count)
                 self._faults.before_flush(self._flush_count)
-            # Block until a dispatch slot frees: this is what propagates
-            # worker saturation back to the bounded queue (and from there
-            # to submitters) instead of hiding it in the executor's
-            # backlog.
-            self._inflight.acquire()
-            future = self._pool.submit(self._execute_batch, list(batch))
-            future.add_done_callback(lambda _f: self._inflight.release())
 
 
 def _fail_closed(ticket: Ticket) -> None:

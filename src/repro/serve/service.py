@@ -12,6 +12,9 @@ stacks with two cache levels in front of generation:
    token cap → ``SurrogatePrediction``) skips generation entirely for
    identical requests, relying on the engine's determinism contract.
 
+Identical in-flight requests decode once: a result-cache miss claims its
+key, and a same-key ticket waits for the claim, then reads the cache.
+
 Robustness: bounded-queue backpressure (:class:`ServiceOverloadedError`),
 per-request timeouts (:class:`RequestTimeoutError`), and graceful drain on
 :meth:`PredictionService.close` / ``with``-exit.
@@ -68,7 +71,9 @@ class PredictionService:
         uses directly.
     max_batch_size, max_wait_s, queue_capacity, workers:
         Microbatching scheduler knobs (see
-        :class:`~repro.serve.scheduler.MicroBatcher`).
+        :class:`~repro.serve.scheduler.MicroBatcher`).  A free batch
+        worker takes whatever is queued; ``max_wait_s`` (default 0) is
+        how long a forming batch may linger for more requests.
     prepare_cache_size, result_cache_size:
         LRU capacities of the two cache levels.
     enable_prepare_cache, enable_result_cache:
@@ -98,10 +103,9 @@ class PredictionService:
         surrogate: DiscriminativeSurrogate | None = None,
         *,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.005,
+        max_wait_s: float = 0.0,
         queue_capacity: int = 1024,
         workers: int | None = None,
-        max_inflight_batches: int | None = None,
         prepare_cache_size: int = 256,
         result_cache_size: int = 4096,
         enable_prepare_cache: bool = True,
@@ -121,6 +125,9 @@ class PredictionService:
         self.result_cache = (
             LRUCache(result_cache_size) if enable_result_cache else None
         )
+        #: Result keys being decoded -> set once the owner cached or failed.
+        self._claims: dict[tuple, threading.Event] = {}
+        self._claims_lock = threading.Lock()
         self._stats = StatsRecorder(max_batch_size=max_batch_size)
         self._ids = itertools.count()
         # Cache-only serves (cached_response) get negative ids from their
@@ -137,7 +144,6 @@ class PredictionService:
             max_wait_s=max_wait_s,
             queue_capacity=queue_capacity,
             workers=workers,
-            max_inflight_batches=max_inflight_batches,
             fault_injector=self.faults,
         )
 
@@ -336,6 +342,25 @@ class PredictionService:
             surrogate.engine.max_new_tokens,
         )
 
+    def _lookup_or_claim(self, key) -> object:
+        """The cached prediction, or :data:`MISS` with ``key`` claimed
+        by the caller.  A key another worker is decoding is waited for,
+        then looked up again; callers hold no claim while here, so waits
+        cannot cycle."""
+        while True:
+            with self._claims_lock:
+                claim = self._claims.get(key)
+                if claim is None:
+                    prediction = self.result_cache.get(key)
+                    if prediction is MISS:
+                        self._claims[key] = threading.Event()
+                    return prediction
+            claim.wait()
+
+    def _release_claim(self, key) -> None:
+        with self._claims_lock:
+            self._claims.pop(key).set()
+
     def cached_response(self, request: Request) -> Response | None:
         """Serve purely from the result cache — no admission, no generation.
 
@@ -410,48 +435,56 @@ class PredictionService:
             prediction = MISS
             if self.result_cache is not None:
                 with tracer.span("serve.cache_lookup", level="result"):
-                    prediction = self.result_cache.get(result_key)
+                    prediction = self._lookup_or_claim(result_key)
                 result_hit = prediction is not MISS
-            if prediction is MISS:
-                if group is not None and group.stash is not None:
-                    # Follower: the group's leader already decoded this
-                    # seed in its lockstep batch.
-                    prediction = group.stash.get(int(request.seed), MISS)
-                if prediction is not MISS:
-                    group_width = group.width
-                else:
-                    analysis = None
-                    if self.prepare_cache is not None:
-                        with tracer.span("serve.prepare") as prep:
-                            analysis = self.prepare_cache.get(fingerprint)
-                            prepare_hit = analysis is not MISS
-                            prep.set(cache_hit=prepare_hit)
-                            if not prepare_hit:
-                                analysis = surrogate.model.prepare(parts.ids)
-                                self.prepare_cache.put(fingerprint, analysis)
-                    with tracer.span("serve.generate") as gen:
-                        if group is not None:
-                            # Leader: decode every member seed in one
-                            # lockstep batch; followers consume the stash.
-                            predictions = surrogate.predict_parts_batch(
-                                parts, group.seeds, analysis=analysis
-                            )
-                            group.stash = {
-                                int(seed): pred
-                                for seed, pred in zip(
-                                    group.seeds, predictions
+            try:
+                if prediction is MISS:
+                    if group is not None and group.stash is not None:
+                        # Follower: the group's leader already decoded
+                        # this seed in its lockstep batch.
+                        prediction = group.stash.get(int(request.seed), MISS)
+                    if prediction is not MISS:
+                        group_width = group.width
+                    else:
+                        analysis = None
+                        if self.prepare_cache is not None:
+                            with tracer.span("serve.prepare") as prep:
+                                analysis = self.prepare_cache.get(fingerprint)
+                                prepare_hit = analysis is not MISS
+                                prep.set(cache_hit=prepare_hit)
+                                if not prepare_hit:
+                                    analysis = surrogate.model.prepare(
+                                        parts.ids
+                                    )
+                                    self.prepare_cache.put(
+                                        fingerprint, analysis
+                                    )
+                        with tracer.span("serve.generate") as gen:
+                            if group is not None:
+                                # Leader: decode every member seed in one
+                                # lockstep batch; followers read the stash.
+                                predictions = surrogate.predict_parts_batch(
+                                    parts, group.seeds, analysis=analysis
                                 )
-                            }
-                            prediction = group.stash[int(request.seed)]
-                            group_width = group.width
-                            gen.set(group_width=group.width)
-                            self._stats.record_group(group.width)
-                        else:
-                            prediction = surrogate.predict_parts(
-                                parts, seed=request.seed, analysis=analysis
-                            )
-                if self.result_cache is not None:
-                    self.result_cache.put(result_key, prediction)
+                                group.stash = {
+                                    int(seed): pred
+                                    for seed, pred in zip(
+                                        group.seeds, predictions
+                                    )
+                                }
+                                prediction = group.stash[int(request.seed)]
+                                group_width = group.width
+                                gen.set(group_width=group.width)
+                                self._stats.record_group(group.width)
+                            else:
+                                prediction = surrogate.predict_parts(
+                                    parts, seed=request.seed, analysis=analysis
+                                )
+                    if self.result_cache is not None:
+                        self.result_cache.put(result_key, prediction)
+            finally:
+                if self.result_cache is not None and not result_hit:
+                    self._release_claim(result_key)
             root.set(
                 result_cache_hit=result_hit,
                 prepare_cache_hit=prepare_hit,

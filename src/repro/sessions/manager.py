@@ -201,20 +201,6 @@ class SessionManager:
                 f"{session.tuner.name!r}"
             )
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle controls
-    # ------------------------------------------------------------------ #
-    def pause_session(self, session_id: str, reason: str = "paused") -> None:
-        session = self.registry.get(session_id)
-        session.pause()
-        self._emit(state_event(session_id, PAUSED, reason))
-
-    def resume_session(self, session_id: str) -> None:
-        session = self.registry.get(session_id)
-        session.unpause()
-        self._stopped.discard(session_id)
-        self._emit(state_event(session_id, RUNNING, "unpaused"))
-
     def _emit(self, event: dict) -> None:
         if self._log is not None:
             self._log.emit(event)

@@ -9,7 +9,6 @@ Improvement, and evaluate the maximizer.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.dataset.space import ConfigSpace
 from repro.errors import TuningError
@@ -91,6 +90,8 @@ class BayesianOptTuner(Tuner):
         mean, std = gp.predict(self._features(pool), return_std=True)
 
         best = float(np.min(y))
+        from scipy import stats
+
         # Expected improvement for minimization of log-runtime.
         gamma = (best - mean) / std
         ei = std * (gamma * stats.norm.cdf(gamma) + stats.norm.pdf(gamma))

@@ -21,7 +21,6 @@ near the target optimum without any target evaluations.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg, stats
 
 from repro.dataset.generate import PerformanceDataset
 from repro.dataset.space import ConfigSpace
@@ -46,6 +45,8 @@ class _OrdinalMarginal:
         n = counts.sum()
         self.probs = counts / n
         self.cum = np.cumsum(self.probs)
+        from scipy import stats
+
         # Midpoint CDF value per level (the normal score of that level).
         mid = self.cum - self.probs / 2.0
         self.z_of_level = stats.norm.ppf(np.clip(mid, 1e-6, 1 - 1e-6))
@@ -54,6 +55,8 @@ class _OrdinalMarginal:
         return self.z_of_level[np.asarray(levels, dtype=np.int64)]
 
     def from_z(self, z: np.ndarray) -> np.ndarray:
+        from scipy import stats
+
         u = stats.norm.cdf(np.asarray(z, dtype=float))
         return np.searchsorted(self.cum, u, side="left").clip(
             0, self.probs.size - 1
@@ -77,6 +80,8 @@ class GaussianCopula:
         z_params = np.column_stack(
             [m.to_z(digits[:, j]) for j, m in enumerate(self._marginals)]
         )
+        from scipy import linalg, stats
+
         # Objective: empirical normal scores of the runtimes.
         ranks = stats.rankdata(dataset.runtimes, method="average")
         u = (ranks - 0.5) / len(dataset)
@@ -127,6 +132,8 @@ class GaussianCopula:
             raise TuningError(f"quantile must be in (0,1), got {quantile}")
         if n < 1:
             raise TuningError(f"n must be >= 1, got {n}")
+        from scipy import stats
+
         z_y = float(stats.norm.ppf(quantile))
         mean = self._sigma_py * (z_y / self._sigma_yy)
         eps = rng.standard_normal((n, mean.size))

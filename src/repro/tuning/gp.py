@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from repro.errors import ModelNotFittedError, TuningError
 
@@ -76,6 +75,8 @@ class GaussianProcess:
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         z = (y - self._y_mean) / self._y_std
+        from scipy import linalg
+
         k = self._kernel(x, x)
         k[np.diag_indices_from(k)] += self.params.noise_variance + 1e-10
         self._chol = linalg.cholesky(k, lower=True)
@@ -94,6 +95,8 @@ class GaussianProcess:
         mean = k_star @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
+        from scipy import linalg
+
         v = linalg.solve_triangular(self._chol, k_star.T, lower=True)
         var = self.params.signal_variance - np.sum(v * v, axis=0)
         var = np.maximum(var, 1e-12)

@@ -84,7 +84,6 @@ class TestLateDiscards:
             max_batch_size=1,
             max_wait_s=0.0,
             workers=1,
-            max_inflight_batches=1,
             queue_capacity=8,
         )
         try:
@@ -127,7 +126,6 @@ class TestOverloadReporting:
             max_wait_s=0.0,
             queue_capacity=1,
             workers=1,
-            max_inflight_batches=1,
         )
         depths = []
         try:
@@ -152,7 +150,6 @@ class TestShutdownRaces:
         slow.delay_s = 0.05
         svc = PredictionService(
             slow, max_batch_size=2, max_wait_s=0.0, workers=1,
-            max_inflight_batches=1,
         )
         futures = [
             svc.submit_async(make_request(sm_dataset, examples, seed=i))

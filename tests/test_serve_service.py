@@ -157,7 +157,6 @@ class TestRobustness:
             max_wait_s=0.0,
             queue_capacity=1,
             workers=1,
-            max_inflight_batches=1,
         )
         futures, rejected = [], 0
         try:
@@ -197,7 +196,7 @@ class TestRobustness:
         slow.delay_s = 0.2
         svc = PredictionService(
             slow, max_batch_size=1, max_wait_s=0.0, workers=1,
-            max_inflight_batches=1, queue_capacity=8,
+            queue_capacity=8,
         )
         futures = [
             svc.submit_async(make_request(sm_dataset, examples, seed=i))
@@ -214,11 +213,11 @@ class TestRobustness:
         assert "rejected" in outcomes  # queued work was abandoned
 
     def test_nondrain_close_fails_in_hand_partial_batch(self):
-        """close(drain=False) must fail the collector's partial batch.
+        """close(drain=False) must fail a batch a worker lingers on.
 
-        Pre-fix the sentinel branch flushed and *executed* the in-hand
-        partial batch even on a non-drain close, contradicting the
-        documented abandon semantics.
+        An old scheduler flushed and *executed* the in-hand partial batch
+        even on a non-drain close, contradicting the documented abandon
+        semantics.
         """
         from repro.serve.scheduler import MicroBatcher, Ticket
 
@@ -231,7 +230,7 @@ class TestRobustness:
                     t.future.set_result("ran")
 
         # Batch threshold and deadline both unreachably large: the
-        # collector picks the tickets up and then just holds them.
+        # forming worker picks the tickets up and then just holds them.
         mb = MicroBatcher(
             execute, max_batch_size=64, max_wait_s=60.0, workers=1
         )
@@ -240,7 +239,7 @@ class TestRobustness:
             mb.submit(t)
         deadline = time.monotonic() + 5.0
         while mb._queue.qsize() > 0 and time.monotonic() < deadline:
-            time.sleep(0.001)  # wait for the collector to take them
+            time.sleep(0.001)  # wait for the worker to take them
         mb.close(drain=False)
         for t in tickets:
             with pytest.raises(ServiceClosedError):
@@ -261,12 +260,11 @@ class TestRobustness:
 
 class TestMicroBatcherDeadline:
     def test_queue_wait_p95_tracks_max_wait_not_poll_tick(self):
-        """Regression: the collector polled at a fixed 0.5 s granularity,
-        so a lone ticket under ``max_wait_s=0.05`` sat in hand until the
-        next poll tick — up to 10x its deadline.  The poll now sleeps
-        ``min(_POLL_S, remaining deadline)``; queue wait must track the
-        configured deadline, not the tick."""
-        from repro.serve.scheduler import _POLL_S, MicroBatcher, Ticket
+        """Regression: the old collector polled at a fixed 0.5 s
+        granularity, so a lone ticket under ``max_wait_s=0.05`` sat in
+        hand until the next poll tick — up to 10x its deadline.  Queue
+        wait must track the configured deadline, not a tick."""
+        from repro.serve.scheduler import MicroBatcher, Ticket
 
         waits = []
 
@@ -290,8 +288,8 @@ class TestMicroBatcherDeadline:
             mb.close()
         waits.sort()
         p95 = waits[int(0.95 * (len(waits) - 1))]
-        # Well under the old tick; generous headroom for a loaded box.
-        assert p95 < _POLL_S / 2, waits
+        # Well under the old 0.5 s tick; generous headroom for a loaded box.
+        assert p95 < 0.25, waits
 
 
 class TestCachedResponseIds:
